@@ -111,12 +111,8 @@ from repro.query.dataflow_script import DataflowScript, parse_script
 from repro.query.parser import parse, parse_predicate
 from repro.query.predicates import (And, ColumnComparison, Comparison, Not,
                                     Or, Predicate)
-from repro.sched import (AdaptiveQuantumController, BusyFirstPolicy,
-                         DeficitRoundRobinPolicy, FunctionUnit,
-                         PressureAwarePolicy, QuiescenceDetector,
-                         RoundRobinPolicy, Schedulable, Scheduler,
-                         SchedulerStall, SchedulingPolicy, StepResult,
-                         make_policy)
+from repro.sched import (FunctionUnit, QuiescenceDetector, Schedulable,
+                         Scheduler, SchedulerStall, StepResult)
 
 __version__ = "1.0.0"
 
@@ -150,8 +146,6 @@ __all__ = [
     "nested_filter_scope", "ControlledEddy", "CACQPartitionState",
     "ParallelCACQ", "MetricRegistry", "SeriesSample", "TelemetrySnapshot",
     "get_registry", "set_registry",
-    "AdaptiveQuantumController", "BusyFirstPolicy",
-    "DeficitRoundRobinPolicy", "FunctionUnit", "PressureAwarePolicy",
-    "QuiescenceDetector", "RoundRobinPolicy", "Schedulable", "Scheduler",
-    "SchedulerStall", "SchedulingPolicy", "StepResult", "make_policy",
+    "FunctionUnit", "QuiescenceDetector", "Schedulable", "Scheduler",
+    "SchedulerStall", "StepResult",
 ]

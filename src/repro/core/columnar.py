@@ -171,7 +171,7 @@ class ColumnStore:
         return lst
 
     def as_lists(self) -> List[List[Any]]:
-        """All columns as python lists (the legacy ``batch.columns`` view)."""
+        """All columns as python lists (cached per column)."""
         return [self.values(i) for i in range(len(self.cols))]
 
     def row(self, j: int) -> "tuple[Any, ...]":

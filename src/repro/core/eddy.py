@@ -649,15 +649,15 @@ class Eddy(Module):
             self._emitted.clear()
         self.emit(punctuation)
 
-    # -- scheduler hooks -----------------------------------------------------
+    # -- adaptivity hooks ----------------------------------------------------
     def selectivity_sample(self) -> Dict[str, float]:
         """Per-operator windowed selectivities — the §4.3 drift signal
-        consumed by the adaptive quantum controllers."""
+        consumed by the AdaptivityController and the PlanFreezer."""
         return {op.name: op.observed_selectivity()
                 for op in self.operators}
 
     def apply_quantum(self, batch_size: int) -> None:
-        """Adopt a scheduler-chosen batch size, preserving the other
+        """Adopt a controller-chosen batch size, preserving the other
         :class:`BatchingDirective` knobs, and drop cached routing
         decisions sized for the old batch."""
         self.batching = BatchingDirective(

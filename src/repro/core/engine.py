@@ -554,7 +554,7 @@ class TelegraphCQServer:
         du = DispatchUnit(
             state.name, DispatchUnit.MODE_SINGLE_EDDY,
             step=state.run_once, is_finished=lambda: state.done,
-            ready=state.ready, query_class=cursor.client)
+            ready=state.ready)
         self.executor.enqueue_plan(compiled.footprint, du)
 
     def _window_tuples(self, compiled: CompiledQuery, binding: str,

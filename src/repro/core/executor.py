@@ -7,11 +7,10 @@ overhead".  The design points reproduced here:
 
 * **Execution Objects (EOs)** — the units the OS would schedule (one
   system thread each).  Here they are cooperatively scheduled; each EO
-  hosts a :class:`repro.sched.Scheduler` over its DUs with a pluggable
-  policy (round-robin, busy-first, deficit-round-robin, or the
-  backpressure/QoS-aware policy), and the executor itself runs the EOs
-  under a top-level scheduler — every layer speaks the one
-  :class:`~repro.sched.protocol.Schedulable` protocol.
+  hosts a round-robin :class:`repro.sched.Scheduler` over its DUs, and
+  the executor itself runs the EOs under a top-level scheduler — every
+  layer speaks the one :class:`~repro.sched.protocol.Schedulable`
+  protocol.
 * **Dispatch Units (DUs)** — non-preemptive work abstractions following
   the Fjords model: ``run_once`` does a bounded quantum and returns a
   :class:`~repro.sched.protocol.StepResult`.  A DU can host (mode 1) a
@@ -34,9 +33,7 @@ from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable, List,
 from repro.errors import ExecutionError
 from repro.fjords.fjord import Fjord
 from repro.monitor.telemetry import get_registry
-from repro.sched.policy import POLICIES as SCHED_POLICIES
 from repro.sched.protocol import StepResult, coerce_step_result, unit_ready
-from repro.sched.quantum import AdaptiveQuantumController
 from repro.sched.scheduler import Scheduler, drive
 
 
@@ -45,10 +42,8 @@ class DispatchUnit:
 
     ``step`` may return a bool (legacy) or a
     :class:`~repro.sched.protocol.StepResult`; ``run_once`` always
-    returns a StepResult.  The optional hints — ``ready``, ``pressure``,
-    ``selectivity`` — feed the EO's scheduling policy and the adaptive
-    quantum controller; ``weight`` and ``query_class`` parameterise the
-    deficit-round-robin and QoS-aware policies.
+    returns a StepResult.  The optional ``ready`` hint feeds
+    :meth:`ExecutionObject.ready`.
     """
 
     #: paper's three DU modes.
@@ -59,21 +54,12 @@ class DispatchUnit:
     def __init__(self, name: str, mode: int,
                  step: Callable[[int], Any],
                  is_finished: Callable[[], bool] = lambda: False,
-                 ready: Optional[Callable[[], bool]] = None,
-                 pressure: Optional[Callable[[], float]] = None,
-                 selectivity: Optional[Callable[[], Dict[str, float]]] = None,
-                 apply_quantum: Optional[Callable[[int], None]] = None,
-                 weight: float = 1.0, query_class: Any = None):
+                 ready: Optional[Callable[[], bool]] = None):
         self.name = name
         self.mode = mode
         self._step = step
         self._is_finished = is_finished
         self._ready = ready
-        self._pressure = pressure
-        self._selectivity = selectivity
-        self._apply_quantum = apply_quantum
-        self.weight = weight
-        self.query_class = query_class
         self.quanta = 0
         self.busy_quanta = 0
 
@@ -89,72 +75,40 @@ class DispatchUnit:
     def finished(self) -> bool:
         return self._is_finished()
 
-    # -- scheduler hints ---------------------------------------------------
     def ready(self) -> bool:
         if self._ready is None:
             return True
         return bool(self._ready())
 
-    def pressure(self) -> float:
-        if self._pressure is None:
-            return 0.0
-        return float(self._pressure())
-
-    def selectivity_sample(self) -> Optional[Dict[str, float]]:
-        if self._selectivity is None:
-            return None
-        return self._selectivity()
-
-    def apply_quantum(self, quantum: int) -> None:
-        if self._apply_quantum is not None:
-            self._apply_quantum(quantum)
-
     @classmethod
     def from_fjord(cls, fjord: Fjord, mode: int = MODE_SINGLE_EDDY,
-                   name: str = "", weight: float = 1.0,
-                   query_class: Any = None) -> "DispatchUnit":
+                   name: str = "") -> "DispatchUnit":
         return cls(name or fjord.name, mode,
                    step=fjord.step,
                    is_finished=lambda: fjord.finished,
-                   ready=fjord.ready,
-                   pressure=fjord.pressure,
-                   weight=weight, query_class=query_class)
+                   ready=fjord.ready)
 
     def __repr__(self) -> str:
         return f"DispatchUnit({self.name}, mode={self.mode})"
 
 
 class ExecutionObject:
-    """One would-be system thread hosting DUs under a local scheduler.
+    """One would-be system thread hosting DUs under a local scheduler:
+    every live DU gets one quantum per pass, in the order it joined."""
 
-    Any :mod:`repro.sched.policy` plugs in by name or instance:
-    ``round_robin`` gives every DU one quantum per pass (the historical
-    behaviour), ``busy_first`` favours DUs that made progress last time,
-    ``deficit_round_robin`` serves DUs proportionally to their weights,
-    and ``pressure_aware`` skips backpressured DUs and throttles
-    over-budget query classes with a bounded-starvation guarantee.
-    """
-
-    POLICIES = SCHED_POLICIES
-
-    def __init__(self, eo_id: int, policy: Any = "round_robin",
-                 quantum_controller: Optional[AdaptiveQuantumController]
-                 = None):
+    def __init__(self, eo_id: int):
         self.eo_id = eo_id
         self.name = f"eo{eo_id}"
-        self.scheduler = Scheduler(policy=policy, name=self.name,
-                                   quantum_controller=quantum_controller)
-        self.policy = self.scheduler.policy.name
+        self.scheduler = Scheduler(name=self.name)
 
     def add(self, du: DispatchUnit) -> None:
-        self.scheduler.add(du, weight=getattr(du, "weight", 1.0),
-                           query_class=getattr(du, "query_class", None))
+        self.scheduler.add(du)
 
     def remove(self, name: str) -> None:
         self.scheduler.remove(name)
 
     def step(self, batch: int = 16) -> StepResult:
-        """One policy-driven pass over the DUs."""
+        """One round-robin pass over the DUs."""
         return self.scheduler.pass_once(batch)
 
     # -- Schedulable (the executor's top-level scheduler hosts EOs) --------
@@ -250,22 +204,18 @@ class Executor:
     New work arrives via :meth:`enqueue_plan` (from the FrontEnd) and is
     "dynamically folded into the running executor" at the start of the
     next step, as in the paper.  The EOs themselves run under a
-    top-level round-robin :class:`repro.sched.Scheduler`, so the whole
+    top-level :class:`repro.sched.Scheduler`, so the whole
     executor is one scheduler tree speaking StepResult end to end.
     """
 
-    def __init__(self, eo_policy: Any = "round_robin",
-                 quantum_controller_factory: Optional[
-                     Callable[[], AdaptiveQuantumController]] = None):
-        self.eo_policy = eo_policy
+    def __init__(self) -> None:
         self._eos: Dict[str, ExecutionObject] = {}
         self._next_eo_id = itertools.count()
         self.footprints = FootprintClasses()
         #: the QPQueue: (footprint, DU) pairs awaiting fold-in.
         self._plan_queue: Deque[TypingTuple[FrozenSet[str], DispatchUnit]] = \
             deque()
-        self._eo_sched = Scheduler(policy="round_robin", name="executor")
-        self._quantum_controller_factory = quantum_controller_factory
+        self._eo_sched = Scheduler(name="executor")
         self.steps = 0
         self.plans_folded = 0
         self._telemetry = get_registry()
@@ -288,11 +238,7 @@ class Executor:
         return folded
 
     def _new_eo(self) -> ExecutionObject:
-        controller = None
-        if self._quantum_controller_factory is not None:
-            controller = self._quantum_controller_factory()
-        eo = ExecutionObject(next(self._next_eo_id), policy=self.eo_policy,
-                             quantum_controller=controller)
+        eo = ExecutionObject(next(self._next_eo_id))
         self._eo_sched.add(eo)
         return eo
 

@@ -321,10 +321,7 @@ class TupleBatch:
     Columns live in a :class:`~repro.core.columnar.ColumnStore`: each
     may be lazily promoted to a read-only numpy array (kernels ask via
     :meth:`column_array`), with a pure-python list fallback when numpy
-    is absent or the values are mixed/nullable.  ``batch.columns`` is
-    preserved as a list-of-lists *view* for compatibility — treat it as
-    read-only; array-backed columns hand out cached copies, so writes
-    to the view would be silently lost.
+    is absent or the values are mixed/nullable.
     """
 
     __slots__ = ("schema", "store", "timestamps", "done", "queries",
@@ -348,11 +345,6 @@ class TupleBatch:
         # empty): batch-level hops fan out to these, so a sampled tuple
         # keeps its story even while travelling vectorized.
         self.traces = traces
-
-    @property
-    def columns(self) -> List[List[Any]]:
-        """Per-column value lists (a read-only compatibility view)."""
-        return self.store.as_lists()
 
     # -- construction ------------------------------------------------------
     @classmethod

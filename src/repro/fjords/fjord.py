@@ -2,14 +2,12 @@
 the unified scheduler core.
 
 A Fjord owns the wiring (``connect``) and delegates the run loop
-(``step`` / ``run`` / ``run_until_finished``) to a
-:class:`repro.sched.Scheduler` hosting its modules — round-robin by
-default, bit-compatible with the historical hand-rolled loop, but any
-:mod:`repro.sched.policy` (deficit round robin, pressure-aware) and the
-§4.3 adaptive quantum controller plug in via the constructor.
+(``step`` / ``run`` / ``run_until_finished``) to a round-robin
+:class:`repro.sched.Scheduler` hosting its modules, bit-compatible with
+the historical hand-rolled loop.
 
 A Fjord is itself a :class:`~repro.sched.protocol.Schedulable`
-(``run_once`` / ``ready`` / ``pressure`` / ``finished``), which is how
+(``run_once`` / ``ready`` / ``finished``), which is how
 the multi-query executor in :mod:`repro.core.executor` hosts many Fjords
 as Dispatch Units inside scheduler-controlled EOs — the single-plan
 analogue of the TelegraphCQ Execution Object.
@@ -17,12 +15,11 @@ analogue of the TelegraphCQ Execution Object.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.errors import PlanError
 from repro.fjords.module import Module, StepResult
 from repro.fjords.queues import FjordQueue, PushQueue
-from repro.sched.quantum import AdaptiveQuantumController
 from repro.sched.scheduler import Scheduler, SchedulerStall
 
 
@@ -30,17 +27,12 @@ class Fjord:
     """A runnable dataflow graph."""
 
     def __init__(self, name: str = "fjord", default_capacity: int = 0,
-                 policy: Any = "round_robin",
-                 quantum_controller: Optional[AdaptiveQuantumController]
-                 = None,
                  sched_telemetry: bool = False):
         self.name = name
         self.default_capacity = default_capacity
         self.modules: List[Module] = []
         self.queues: List[FjordQueue] = []
         self._names: Dict[str, Module] = {}
-        self._policy = policy
-        self._quantum_controller = quantum_controller
         self._sched_telemetry = sched_telemetry
         self._scheduler: Optional[Scheduler] = None
 
@@ -101,9 +93,7 @@ class Fjord:
         """The Fjord's scheduler over its modules (built on first use;
         modules registered later join it automatically)."""
         if self._scheduler is None:
-            sched = Scheduler(policy=self._policy,
-                              name=f"fjord:{self.name}",
-                              quantum_controller=self._quantum_controller,
+            sched = Scheduler(name=f"fjord:{self.name}",
                               telemetry=self._sched_telemetry)
             for m in self.modules:
                 sched.add(m)
@@ -130,17 +120,6 @@ class Fjord:
         """Cheap hint: any live module with consumable input or a live
         source that must be polled."""
         return any(not m.finished and m.ready() for m in self.modules)
-
-    def pressure(self) -> float:
-        """Occupancy of the Fjord's bounded queues (its own internal
-        backpressure surface, seen from an enclosing scheduler)."""
-        worst = 0.0
-        for q in self.queues:
-            if q.capacity:
-                frac = q.fill_fraction()
-                if frac > worst:
-                    worst = frac
-        return worst
 
     def run(self, max_steps: int = 1_000_000,
             batch: Optional[int] = None) -> int:

@@ -483,8 +483,7 @@ class Flux:
             f"{self._telemetry_id}:drain",
             step=lambda _quantum: bool(self.tick()),
             is_finished=lambda: not self.unacked_total())
-        sched = Scheduler(policy="round_robin",
-                          name=f"{self._telemetry_id}:drain",
+        sched = Scheduler(name=f"{self._telemetry_id}:drain",
                           telemetry=False)
         sched.add(unit)
         try:
@@ -501,8 +500,8 @@ class FluxPump(Schedulable):
     so the cluster data plane runs *beside* the engine, the network
     pump, and every other :class:`~repro.sched.Schedulable` under one
     scheduler — one ``run_once`` is one Flux epoch.  ``ready()`` is the
-    cheap hint the pressure-aware policy needs: there is work whenever
-    input remains or acknowledgements are outstanding.
+    cheap hint: there is work whenever input remains or acknowledgements
+    are outstanding.
     """
 
     def __init__(self, flux: Flux,

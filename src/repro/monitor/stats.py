@@ -14,7 +14,6 @@ know is *observed online*.  This module centralises the estimators:
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -27,10 +26,9 @@ class SelectivityTracker:
     can compare "fresh" vs "stale" views (the drift experiments rely on
     the fresh one reacting).
 
-    The blessed accessors are the :attr:`windowed_rate` and
+    The accessors are the :attr:`windowed_rate` and
     :attr:`lifetime_rate` properties — the vocabulary the telemetry
-    snapshot uses.  The legacy ``windowed()`` / ``lifetime()`` callables
-    remain as thin deprecated aliases.
+    snapshot uses.
     """
 
     def __init__(self, window: int = 256):
@@ -58,19 +56,6 @@ class SelectivityTracker:
             return 1.0
         return self.total_passed / self.total_seen
 
-    def windowed(self) -> float:
-        """Deprecated alias for :attr:`windowed_rate`."""
-        warnings.warn("SelectivityTracker.windowed() is deprecated; "
-                      "use the windowed_rate property",
-                      DeprecationWarning, stacklevel=2)
-        return self.windowed_rate
-
-    def lifetime(self) -> float:
-        """Deprecated alias for :attr:`lifetime_rate`."""
-        warnings.warn("SelectivityTracker.lifetime() is deprecated; "
-                      "use the lifetime_rate property",
-                      DeprecationWarning, stacklevel=2)
-        return self.lifetime_rate
 
 
 def sample_drift(old: Dict[str, float], new: Dict[str, float]) -> float:
@@ -78,10 +63,9 @@ def sample_drift(old: Dict[str, float], new: Dict[str, float]) -> float:
     samples: the max absolute per-operator delta over the operators
     present in both.
 
-    This is the §4.3 "rate of change" signal shared by the eddy-local
+    This is the §4.3 "rate of change" signal shared by the
     :class:`~repro.core.adaptivity.AdaptivityController` and the
-    scheduler-level
-    :class:`~repro.sched.quantum.AdaptiveQuantumController`.
+    :class:`~repro.core.freeze.PlanFreezer`.
     """
     deltas = [abs(new[name] - value)
               for name, value in old.items() if name in new]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import signal
 import threading
 import warnings
 from collections import deque
@@ -90,8 +91,8 @@ class NetworkPump:
 
     ``run_once(quantum)`` dispatches up to ``quantum`` buffered request
     frames, then delivers streaming rows within each cursor's credit,
-    then runs the eviction scan.  ``ready()`` is the cheap hint the
-    pressure-aware policy needs: frames waiting, or a creditable cursor
+    then runs the eviction scan.  ``ready()`` is the cheap hint the drive
+    loop reads before sleeping: frames waiting, or a creditable cursor
     with buffered rows.
     """
 
@@ -143,7 +144,6 @@ class TelegraphCQService:
                  max_write_buffer: int = 1 << 20,
                  idle_timeout: Optional[float] = None,
                  idle_poll: float = 0.005,
-                 policy: str = "round_robin",
                  shedder: Optional[LoadShedder] = None):
         # The unified client API is the only door to an engine; the
         # service fronts a LocalConnection rather than building its own
@@ -169,7 +169,7 @@ class TelegraphCQService:
         self.shedder = shedder or LoadShedder(policy="random",
                                               target_utilisation=1.0)
         self.pump = NetworkPump(self)
-        self.scheduler = Scheduler(policy=policy, name="net")
+        self.scheduler = Scheduler(name="net")
         self.scheduler.add(FunctionUnit(
             "engine", step=lambda q: self.server.step(16 if q is None else q)))
         self.scheduler.add(self.pump)
@@ -696,6 +696,11 @@ def main(argv: Optional[List[str]] = None) -> int:    # pragma: no cover
 
     async def _serve() -> None:
         await service.start()
+        # SIGINT stops the service the orderly way.  Left to asyncio.run
+        # it would cancel this task instead, and a cancel the drive
+        # loop's wait_for swallows keeps the loop alive past shutdown.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGINT, service._stop_event.set)
         print(f"telegraphcq: wire protocol on {service.host}:{service.port}, "
               f"admin on http://{service.admin_address[0]}:"
               f"{service.admin_address[1]}/")

@@ -11,22 +11,13 @@ on one tiny surface:
 * ``run_once(quantum)`` — do a bounded, non-preemptive quantum of work
   and return a :class:`StepResult`;
 * ``ready()`` — a *cheap* hint: could ``run_once`` plausibly make
-  progress right now?  Schedulers use it for idle detection, starvation
-  accounting, and (in the pressure-aware policy) to skip pointless
-  quanta; round-robin ignores it so behaviour stays bit-compatible with
-  the historical loops;
+  progress right now?  The scheduler never consults it when choosing
+  what to run (every live unit runs each pass); hosts read it to
+  decide whether to sleep (the network service's drive loop, the
+  executor's EO hint) and the ready-set telemetry counts it;
 * ``finished`` — the unit has reached end-of-stream / quiescence and
   must never be scheduled again;
-* ``name`` — stable identity for telemetry and policy state.
-
-Optional extensions, discovered by duck typing (helpers below):
-
-* ``pressure()`` — occupancy of the unit's *downstream* queues in
-  [0, 1]; 1.0 means backpressured (the pressure-aware policy skips it);
-* ``selectivity_sample()`` — a ``{operator: selectivity}`` dict for the
-  §4.3 adaptive-quantum controller, or None;
-* ``apply_quantum(n)`` — push an adapted quantum into the unit's own
-  batching machinery (eddies rewrite their ``BatchingDirective``).
+* ``name`` — stable identity for telemetry and membership.
 
 The protocol is structural: :class:`~repro.fjords.module.Module`,
 :class:`~repro.fjords.fjord.Fjord`,
@@ -37,7 +28,7 @@ anything in this package.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 
 class StepResult:
@@ -93,22 +84,6 @@ def unit_ready(unit: Any) -> bool:
     return bool(probe())
 
 
-def unit_pressure(unit: Any) -> float:
-    """The downstream-occupancy hint in [0, 1]; 0.0 when absent."""
-    probe = getattr(unit, "pressure", None)
-    if probe is None:
-        return 0.0
-    return float(probe())
-
-
-def unit_selectivity_sample(unit: Any) -> Optional[Dict[str, float]]:
-    """The §4.3 selectivity sample, or None for units without one."""
-    probe = getattr(unit, "selectivity_sample", None)
-    if probe is None:
-        return None
-    return probe()
-
-
 class Schedulable:
     """Abstract base documenting the protocol (satisfaction is
     structural — subclassing is optional)."""
@@ -130,19 +105,17 @@ class FunctionUnit(Schedulable):
     """Adapt a bare step callable into a Schedulable.
 
     ``step(quantum)`` may return a :class:`StepResult` or a bool;
-    ``is_finished`` / ``is_ready`` are optional zero-argument hints.
+    ``is_finished`` is an optional zero-argument hint.
     Used to fold legacy drive loops (Flux drain, cluster ticks) into the
     unified scheduler without rewriting their internals.
     """
 
     def __init__(self, name: str,
                  step: Callable[[Optional[int]], Any],
-                 is_finished: Callable[[], bool] = lambda: False,
-                 is_ready: Optional[Callable[[], bool]] = None):
+                 is_finished: Callable[[], bool] = lambda: False):
         self.name = name
         self._step = step
         self._is_finished = is_finished
-        self._is_ready = is_ready
 
     @property
     def finished(self) -> bool:
@@ -155,11 +128,6 @@ class FunctionUnit(Schedulable):
         if self.finished and not result.finished:
             return StepResult(result.worked, finished=True)
         return result
-
-    def ready(self) -> bool:
-        if self._is_ready is None:
-            return True
-        return bool(self._is_ready())
 
     def __repr__(self) -> str:
         return f"FunctionUnit({self.name})"

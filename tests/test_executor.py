@@ -77,16 +77,6 @@ class TestExecutionObject:
         eo.remove("a")
         assert not eo.dispatch_units
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ExecutionError):
-            ExecutionObject(0, policy="fifo")
-
-    def test_busy_first_policy_runs(self):
-        eo = ExecutionObject(0, policy="busy_first")
-        du, _ = counting_du("a", work=3)
-        eo.add(du)
-        assert eo.step()
-
 
 class TestFootprintClasses:
     def test_disjoint_footprints_distinct(self):

@@ -259,7 +259,7 @@ class TestFluxPump:
                     state_factory=group_factory, replication=1)
         batches = [data[i:i + 40] for i in range(0, len(data), 40)]
         pump = FluxPump(flux, feed=batches)
-        sched = Scheduler(policy="round_robin", telemetry=False)
+        sched = Scheduler(telemetry=False)
         sched.add(pump)
         sched.run_until_finished(max_passes=50_000)
         assert pump.finished
@@ -273,7 +273,7 @@ class TestFluxPump:
         flux.route(make_data(50))
         pump = FluxPump(flux)
         assert pump.ready()
-        sched = Scheduler(policy="round_robin", telemetry=False)
+        sched = Scheduler(telemetry=False)
         sched.add(pump)
         sched.run_until_finished(max_passes=10_000)
         assert flux.unacked_total() == 0

@@ -1,30 +1,25 @@
 """Tests for repro.sched: the unified scheduler core — the Schedulable
-protocol, the four shipped policies, the quiescence/stall protocol, the
-§4.3 adaptive quantum controller, and a hypothesis fairness property
-(no ready unit starves beyond a policy-derived bound)."""
-
-import math
+protocol, the round-robin scheduler, the quiescence/stall protocol, and
+a hypothesis property (every live unit runs exactly once per pass, in
+registration order, across add/remove between passes)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutionError, PlanError
-from repro.sched import (AdaptiveQuantumController, BusyFirstPolicy,
-                         DeficitRoundRobinPolicy, FunctionUnit, POLICIES,
-                         PressureAwarePolicy, QuiescenceDetector,
-                         RoundRobinPolicy, Scheduler, SchedulerStall,
-                         StepResult, coerce_step_result, drive, make_policy)
+from repro.errors import ExecutionError
+from repro.sched import (FunctionUnit, QuiescenceDetector, Scheduler,
+                         SchedulerStall, StepResult, coerce_step_result,
+                         drive)
 
 
 class Worker:
     """A fully instrumented schedulable test double."""
 
-    def __init__(self, name, work=3, ready=True, pressure=0.0):
+    def __init__(self, name, work=3, ready=True):
         self.name = name
         self.work_left = work
         self._ready = ready
-        self._pressure = pressure
         self.runs = 0
         self.quanta_seen = []
 
@@ -34,9 +29,6 @@ class Worker:
 
     def ready(self):
         return self._ready and not self.finished
-
-    def pressure(self):
-        return self._pressure
 
     def run_once(self, quantum=None):
         self.runs += 1
@@ -139,319 +131,76 @@ class TestScheduler:
         with pytest.raises(ExecutionError):
             sched.add(Worker("a"))
 
-    def test_remove_clears_policy_state(self):
-        policy = DeficitRoundRobinPolicy()
-        sched = Scheduler(policy=policy, telemetry=False)
-        sched.add(Worker("a", work=100), weight=0.5)
-        sched.pass_once()
-        assert "a" in policy._credit
-        sched.remove("a")
-        assert "a" not in policy._credit
-        assert "a" not in sched
-
-    def test_unknown_policy(self):
-        with pytest.raises(ExecutionError):
-            make_policy("lottery")
-
     def test_stats_shape(self):
         sched = Scheduler(telemetry=False)
         sched.add(Worker("a", work=1))
         sched.run_until_finished()
         stats = sched.stats()
-        assert stats["policy"] == "round_robin"
-        assert stats["per_unit"]["a"]["runs"] == 1
-        assert stats["decisions"]["run"] == 1
+        assert stats["passes"] == 1
+        assert stats["units"] == 1 and stats["live_units"] == 0
+
+    def test_quantum_passes_through(self):
+        sched = Scheduler(telemetry=False)
+        w = Worker("w", work=5)
+        sched.add(w)
+        sched.pass_once(quantum=10)
+        sched.pass_once()
+        assert w.quanta_seen == [10, None]
 
 
-class TestPolicies:
+class TestRoundRobin:
     def test_round_robin_ignores_ready(self):
         """Bit-compat: round_robin polls idle units exactly as the
         historical loops did."""
-        sched = Scheduler(policy="round_robin", telemetry=False)
+        sched = Scheduler(telemetry=False)
         lazy = Worker("lazy", work=5, ready=False)
         sched.add(lazy)
         sched.pass_once()
         assert lazy.runs == 1
 
-    def test_busy_first_orders_by_last_progress(self):
-        order = []
 
-        def unit(name, works):
-            def step(_q):
-                order.append(name)
-                return works
-            return FunctionUnit(name, step)
+# Each op is ("add",), ("remove", i), ("finish", i) or ("pass",), with
+# i indexing the current members: membership churns between passes.
+OPS = st.lists(
+    st.one_of(st.just(("add",)), st.just(("pass",)),
+              st.tuples(st.sampled_from(["remove", "finish"]),
+                        st.integers(0, 7))),
+    min_size=1, max_size=40)
 
-        sched = Scheduler(policy="busy_first", telemetry=False)
-        sched.add(unit("idler", False))
-        sched.add(unit("worker", True))
-        sched.pass_once()
-        assert order == ["idler", "worker"]   # never-run counts as busy
-        order.clear()
-        sched.pass_once()
-        assert order == ["worker", "idler"]
 
-    def test_drr_half_weight_runs_every_other_pass(self):
-        sched = Scheduler(policy="deficit_round_robin", telemetry=False)
-        full = Worker("full", work=100)
-        half = Worker("half", work=100)
-        sched.add(full, weight=1.0)
-        sched.add(half, weight=0.5)
-        for _ in range(8):
+@settings(max_examples=80, deadline=None)
+@given(ops=OPS, worked=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_every_live_unit_runs_once_per_pass_in_order(ops, worked):
+    """Round-robin property: each pass runs every live (unfinished)
+    member exactly once, in registration order, whether or not it made
+    progress last time and whatever joined, left or finished since the
+    previous pass."""
+    sched = Scheduler(telemetry=False)
+    log = []
+    members = []
+    finished = set()
+
+    def make(name, works):
+        def step(_q):
+            log.append(name)
+            return works
+        return FunctionUnit(name, step,
+                            is_finished=lambda: name in finished)
+
+    for n, op in enumerate(ops):
+        if op[0] == "add":
+            name = f"u{n}"
+            sched.add(make(name, worked[n % len(worked)]))
+            members.append(name)
+        elif op[0] == "pass":
+            log.clear()
             sched.pass_once()
-        assert full.runs == 8
-        assert half.runs == 4
-
-    def test_drr_heavy_weight_boosts_quantum(self):
-        sched = Scheduler(policy="deficit_round_robin", telemetry=False)
-        heavy = Worker("heavy", work=100)
-        sched.add(heavy, weight=2.0)
-        sched.pass_once(quantum=10)
-        assert heavy.quanta_seen == [20]
-
-    def test_drr_idle_forfeits_credit(self):
-        policy = DeficitRoundRobinPolicy()
-        sched = Scheduler(policy=policy, telemetry=False)
-        sched.add(FunctionUnit("idler", lambda q: False), weight=0.5)
-        sched.pass_once()            # credit 0.5, not selected
-        sched.pass_once()            # credit 1.0 -> runs, idles, zeroed
-        assert policy._credit["idler"] == 0.0
-
-    def test_pressure_aware_skips_not_ready(self):
-        sched = Scheduler(policy="pressure_aware", telemetry=False)
-        lazy = Worker("lazy", work=5, ready=False)
-        eager = Worker("eager", work=5)
-        sched.add(lazy)
-        sched.add(eager)
-        sched.pass_once()
-        assert eager.runs == 1 and lazy.runs == 0
-        assert sched.decisions["skip_not_ready"] == 1
-
-    def test_pressure_aware_skips_backpressured(self):
-        sched = Scheduler(policy="pressure_aware", telemetry=False)
-        blocked = Worker("blocked", work=5, pressure=1.0)
-        sched.add(blocked)
-        sched.pass_once()
-        assert blocked.runs == 0
-        assert sched.decisions["skip_backpressure"] == 1
-
-    def test_pressure_aware_starvation_guard(self):
-        policy = PressureAwarePolicy(starvation_limit=3)
-        sched = Scheduler(policy=policy, telemetry=False)
-        lazy = Worker("lazy", work=100, ready=False)
-        sched.add(lazy)
-        for _ in range(10):
-            sched.pass_once()
-        # Skipped at most starvation_limit passes, then forced; the
-        # idle forced run backs the personal limit off to 2x base.
-        assert lazy.runs >= 2
-        assert sched.worst_starvation() <= 2 * 3
-        assert sched.decisions["starvation_override"] >= 2
-
-    def test_pressure_aware_guard_backoff_and_reset(self):
-        """An idle forced run doubles the unit's guard limit (capped);
-        the first productive run snaps it back to the base."""
-        policy = PressureAwarePolicy(starvation_limit=2)
-        sched = Scheduler(policy=policy, telemetry=False)
-
-        class Quiet:
-            name = "quiet"
-            finished = False
-
-            def __init__(self):
-                self.runs = 0
-                self.has_work = False
-
-            def ready(self):
-                return False        # hint always says no
-
-            def run_once(self, quantum=None):
-                self.runs += 1
-                if self.has_work:
-                    self.has_work = False
-                    return StepResult.BUSY
-                return StepResult.IDLE
-
-        quiet = Quiet()
-        sched.add(quiet)
-        for _ in range(3):
-            sched.pass_once()
-        assert policy._guard_limit["quiet"] == 4       # 2 -> 4 after idle
-        for _ in range(6):
-            sched.pass_once()
-        assert policy._guard_limit["quiet"] == 8
-        quiet.has_work = True
-        for _ in range(20):
-            sched.pass_once()
-            if "quiet" not in policy._guard_limit:
-                break
-        assert "quiet" not in policy._guard_limit      # reset on work
-        assert policy._guard_limit.get("quiet",
-                                       policy.starvation_limit) == 2
-
-    def test_pressure_aware_override_cap_rotates(self):
-        """The starvation guard trickles through a large quiet
-        population oldest-first instead of forcing everyone in one
-        synchronized pass."""
-        policy = PressureAwarePolicy(starvation_limit=3,
-                                     max_overrides_per_pass=2)
-        sched = Scheduler(policy=policy, telemetry=False)
-        units = [Worker(f"quiet{i}", work=100, ready=False)
-                 for i in range(6)]
-        for u in units:
-            sched.add(u)
-        per_pass = []
-        for _ in range(12):
-            before = sched.decisions.get("starvation_override", 0)
-            sched.pass_once()
-            per_pass.append(
-                sched.decisions.get("starvation_override", 0) - before)
-        assert max(per_pass) <= 2
-        assert all(u.runs >= 2 for u in units)     # rotation reaches all
-        # Graceful degradation: the backed-off limit (2x base after one
-        # idle force) plus the rotation delay.
-        assert sched.worst_starvation() <= 2 * 3
-
-    def test_pressure_aware_qos_callable_throttles(self):
-        policy = PressureAwarePolicy(qos=lambda cls: 0.5
-                                     if cls == "bulk" else 0.0)
-        sched = Scheduler(policy=policy, telemetry=False)
-        bulk = Worker("bulk", work=100)
-        vip = Worker("vip", work=100)
-        sched.add(bulk, query_class="bulk")
-        sched.add(vip, query_class="vip")
-        for _ in range(8):
-            sched.pass_once()
-        assert vip.runs == 8
-        assert bulk.runs == 4        # ratio 0.5 drops every second quantum
-        assert sched.decisions["skip_qos_throttle"] == 4
-
-    def test_pressure_aware_load_shedder_duck(self):
-        class Shedder:
-            drop_rate = 1.0
-            preferences = {"vip": 1.0}
-
-        policy = PressureAwarePolicy(starvation_limit=4, qos=Shedder())
-        sched = Scheduler(policy=policy, telemetry=False)
-        bulk = Worker("bulk", work=100)
-        vip = Worker("vip", work=100)
-        sched.add(bulk, query_class="bulk")
-        sched.add(vip, query_class="vip")
-        for _ in range(8):
-            sched.pass_once()
-        assert vip.runs == 8         # preferred classes are never throttled
-        assert bulk.runs <= 2        # only the starvation guard runs it
-
-    def test_policy_registry(self):
-        assert POLICIES == ("round_robin", "busy_first",
-                            "deficit_round_robin", "pressure_aware")
-        for name in POLICIES:
-            assert make_policy(name).name == name
-        rr = RoundRobinPolicy()
-        assert make_policy(rr) is rr
-
-
-class TestAdaptiveQuantumController:
-    def test_grow_when_stable(self):
-        ctrl = AdaptiveQuantumController(start_quantum=16, check_every=1)
-        assert ctrl.quantum_for("u") == 16
-        ctrl.after_run("u", {"op": 0.5})          # first sample: no drift yet
-        new = ctrl.after_run("u", {"op": 0.5})    # zero drift -> grow
-        assert new == 32
-        assert ctrl.quantum_for("u") == 32
-
-    def test_shrink_on_drift(self):
-        ctrl = AdaptiveQuantumController(start_quantum=64, check_every=1,
-                                         drift_threshold=0.15)
-        ctrl.after_run("u", {"op": 0.1})
-        new = ctrl.after_run("u", {"op": 0.9})    # drift 0.8 -> shrink
-        assert new == 32
-
-    def test_dead_band_holds(self):
-        ctrl = AdaptiveQuantumController(start_quantum=64, check_every=1,
-                                         drift_threshold=0.2)
-        ctrl.after_run("u", {"op": 0.5})
-        # drift 0.15 lies between 0.2*0.5 and 0.2: hold.
-        assert ctrl.after_run("u", {"op": 0.65}) is None
-        assert ctrl.quantum_for("u") == 64
-
-    def test_clamped_to_bounds(self):
-        ctrl = AdaptiveQuantumController(start_quantum=2, min_quantum=2,
-                                         max_quantum=4, check_every=1)
-        ctrl.after_run("u", {"op": 0.5})
-        assert ctrl.after_run("u", {"op": 0.5}) == 4
-        assert ctrl.after_run("u", {"op": 0.5}) is None    # at max: hold
-        assert ctrl.quantum_for("u") == 4
-
-    def test_check_every_batches_checks(self):
-        ctrl = AdaptiveQuantumController(check_every=3)
-        ctrl.quantum_for("u")
-        assert ctrl.after_run("u", {"op": 0.5}) is None
-        assert ctrl.after_run("u", {"op": 0.5}) is None
-        ctrl.after_run("u", {"op": 0.5})
-        assert ctrl.checks == 1
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(PlanError):
-            AdaptiveQuantumController(min_quantum=0)
-        with pytest.raises(PlanError):
-            AdaptiveQuantumController(start_quantum=1024)
-        with pytest.raises(PlanError):
-            AdaptiveQuantumController(grow_factor=1)
-
-    def test_scheduler_pushes_quantum_into_unit(self):
-        class AdaptiveWorker(Worker):
-            def __init__(self):
-                super().__init__("adaptive", work=1000)
-                self.applied = []
-
-            def selectivity_sample(self):
-                return {"op": 0.5}
-
-            def apply_quantum(self, n):
-                self.applied.append(n)
-
-        ctrl = AdaptiveQuantumController(start_quantum=8, check_every=2)
-        sched = Scheduler(quantum_controller=ctrl, telemetry=False)
-        unit = AdaptiveWorker()
-        sched.add(unit)
-        for _ in range(6):
-            sched.pass_once()
-        # Stable selectivities: the quantum doubled twice and each new
-        # value was pushed into the unit and used on the next run.
-        assert unit.applied == [16, 32]
-        assert 16 in unit.quanta_seen
-        sched.pass_once()
-        assert unit.quanta_seen[-1] == 32
-        assert ctrl.trajectory("adaptive")
-
-
-WEIGHTS = (0.25, 0.5, 1.0, 2.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    policy=st.sampled_from(POLICIES),
-    units=st.lists(
-        st.tuples(st.sampled_from(WEIGHTS),
-                  st.lists(st.booleans(), min_size=30, max_size=30)),
-        min_size=1, max_size=5),
-)
-def test_no_ready_unit_starves(policy, units):
-    """Fairness property: under every shipped policy, a live unit that
-    always reports ready work runs at least every K passes, where K is
-    the policy's own bound — the DRR weight period or the pressure-aware
-    starvation limit, whichever is larger."""
-    sched = Scheduler(policy=policy, telemetry=False)
-    for i, (weight, pattern) in enumerate(units):
-        it = iter(pattern)
-        sched.add(FunctionUnit(f"u{i}",
-                               lambda q, it=it: next(it, False)),
-                  weight=weight, query_class=f"c{i}")
-    for _ in range(30):
-        sched.pass_once()
-    min_weight = min(w for w, _p in units)
-    bound = max(8, math.ceil(1.0 / min_weight))
-    assert sched.worst_starvation() <= bound
-    for age in sched.starvation_ages().values():
-        assert age <= bound
+            assert log == [m for m in members if m not in finished]
+        elif members:
+            name = members[op[1] % len(members)]
+            if op[0] == "remove":
+                sched.remove(name)
+                members.remove(name)
+            else:
+                finished.add(name)
+    assert [u.name for u in sched.units] == members
